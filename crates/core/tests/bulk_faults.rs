@@ -4,13 +4,18 @@
 //! trains — by suspending, probing, and resuming — where the static
 //! engine under the *same* schedule and round budget provably fails.
 //! Also pins the hard invariant the fault seam rides on: attaching an
-//! empty schedule changes nothing, down to the last airtime bit.
+//! empty schedule changes nothing, down to the last airtime bit — and
+//! pins the exact outcome of four runs across both engines, so a
+//! refactor of the transfer loop cannot move a single field.
 
 use aqua_channel::environments::{Environment, Site};
 use aqua_channel::fault::FaultSchedule;
 use aqua_channel::geometry::Pos;
 use aqua_proto::transfer::TransferParams;
-use aquapp::bulk::{run_adaptive_transfer, run_bulk_transfer, BulkConfig, BulkReason};
+use aquapp::bulk::{
+    run_adaptive_transfer, run_bulk_transfer, run_bulk_transfer_with_faults, BulkConfig,
+    BulkOutcome, BulkReason,
+};
 use aquapp::trial::TrialConfig;
 
 /// Deterministic pseudo-random payload (splitmix-style byte stream).
@@ -138,4 +143,133 @@ fn empty_fault_schedule_is_bit_identical_to_none() {
             "airtime must match to the bit"
         );
     }
+}
+
+/// Every `BulkOutcome` field of one run, floats as raw bits.
+#[derive(Debug, PartialEq)]
+struct Pin {
+    delivered: bool,
+    reason: BulkReason,
+    rounds: usize,
+    packets_sent: usize,
+    packets_delivered: usize,
+    erasures: usize,
+    duplicates: usize,
+    acks_lost: usize,
+    suspensions: usize,
+    probes: usize,
+    suspended_s: u64,
+    airtime_s: u64,
+    goodput_bps: u64,
+}
+
+fn pin(out: &BulkOutcome, payload: &[u8]) -> Pin {
+    if let Some(d) = &out.delivered {
+        assert_eq!(d, payload, "a delivered payload must be bit-exact");
+    }
+    Pin {
+        delivered: out.delivered.is_some(),
+        reason: out.reason,
+        rounds: out.rounds,
+        packets_sent: out.packets_sent,
+        packets_delivered: out.packets_delivered,
+        erasures: out.erasures,
+        duplicates: out.duplicates,
+        acks_lost: out.acks_lost,
+        suspensions: out.suspensions,
+        probes: out.probes,
+        suspended_s: out.suspended_s.to_bits(),
+        airtime_s: out.airtime_s.to_bits(),
+        goodput_bps: out.goodput_bps.to_bits(),
+    }
+}
+
+#[test]
+fn engine_outcomes_are_pinned_to_the_bit() {
+    // Four 480 B Lake transfers covering both engines' seed schemes and
+    // every path of the transfer loop: static clean, static with forced
+    // erasures, adaptive under heavy bursts (ladder + ACK re-solicit) and
+    // adaptive through a storm that suspends and probes. Any change to a
+    // seed, the session clock or the accounting moves one of these.
+    let payload = payload_bytes(480, 0x601D);
+    let heavy = FaultSchedule::seeded(0xFA17).with_burst_train(0.0, 600.0, 0.1, 0.7);
+    let storm = heavy.clone().with_blackout(6.0, 30.0);
+    let clean = lake_cfg(15.0, 4000);
+    let faulted = |range_m: f64, seed: u64, faults: FaultSchedule| BulkConfig {
+        faults: Some(faults),
+        ..lake_cfg(range_m, seed)
+    };
+    let lose = |round: usize, seq: u16| round == 0 && seq % 3 == 1;
+    let got: Vec<Pin> = [
+        run_bulk_transfer(&clean, &payload),
+        run_bulk_transfer_with_faults(&clean, &payload, lose),
+        run_adaptive_transfer(&faulted(25.0, 4182, heavy), &payload),
+        run_adaptive_transfer(&faulted(15.0, 4000, storm), &payload),
+    ]
+    .iter()
+    .map(|r| pin(r.as_ref().expect("valid config"), &payload))
+    .collect();
+    let expected = vec![
+        Pin {
+            delivered: true,
+            reason: BulkReason::Completed,
+            rounds: 2,
+            packets_sent: 20,
+            packets_delivered: 20,
+            erasures: 0,
+            duplicates: 0,
+            acks_lost: 0,
+            suspensions: 0,
+            probes: 0,
+            suspended_s: 0,
+            airtime_s: 4626207089641534085,
+            goodput_bps: 4641101078789629697,
+        },
+        Pin {
+            delivered: true,
+            reason: BulkReason::Completed,
+            rounds: 2,
+            packets_sent: 24,
+            packets_delivered: 20,
+            erasures: 4,
+            duplicates: 0,
+            acks_lost: 0,
+            suspensions: 0,
+            probes: 0,
+            suspended_s: 0,
+            airtime_s: 4627284569988320461,
+            goodput_bps: 4639973624414077811,
+        },
+        Pin {
+            delivered: true,
+            reason: BulkReason::Completed,
+            rounds: 3,
+            packets_sent: 26,
+            packets_delivered: 19,
+            erasures: 6,
+            duplicates: 1,
+            acks_lost: 1,
+            suspensions: 0,
+            probes: 0,
+            suspended_s: 0,
+            airtime_s: 4627362597197489461,
+            goodput_bps: 4639906123922092684,
+        },
+        Pin {
+            delivered: true,
+            reason: BulkReason::Completed,
+            rounds: 5,
+            packets_sent: 42,
+            packets_delivered: 18,
+            erasures: 23,
+            duplicates: 1,
+            acks_lost: 7,
+            suspensions: 1,
+            probes: 2,
+            suspended_s: 4627448617123184640,
+            airtime_s: 4628354180763882970,
+            goodput_bps: 4639168081473705989,
+        },
+    ];
+    assert_eq!(got, expected);
 }
