@@ -161,31 +161,6 @@ echo "$BENCH_OUT"
 check_budget "bulk_transfer_480b" 400
 check_budget "rs_stripe_2kb" 1
 
-echo "==> throughput smoke: repro transfer quick end-to-end under 60 s"
-# Goodput vs range at quick size (480 B x 4 ranges x 2 FEC modes): ~2 s
-# typical; 60 s budget is container slack.
-START=$(date +%s)
-cargo run -q -p aqua-eval --release --bin repro -- transfer quick >/dev/null
-ELAPSED=$(($(date +%s) - START))
-if [ "$ELAPSED" -gt 60 ]; then
-  echo "throughput-smoke FAIL: repro transfer quick took ${ELAPSED}s (> 60 s)"
-  exit 1
-fi
-echo "throughput-smoke ok: repro transfer quick in ${ELAPSED}s (budget 60 s)"
-
-echo "==> throughput smoke: repro faults quick end-to-end under 60 s"
-# Fault-intensity ladder at quick size (480 B x 4 levels x 2 engines,
-# storm row suspends and probes through a 30 s blackout): ~3 s typical;
-# 60 s budget is container slack.
-START=$(date +%s)
-cargo run -q -p aqua-eval --release --bin repro -- faults quick >/dev/null
-ELAPSED=$(($(date +%s) - START))
-if [ "$ELAPSED" -gt 60 ]; then
-  echo "throughput-smoke FAIL: repro faults quick took ${ELAPSED}s (> 60 s)"
-  exit 1
-fi
-echo "throughput-smoke ok: repro faults quick in ${ELAPSED}s (budget 60 s)"
-
 echo "==> perf smoke: ocean_events_per_second (PR 6 event-driven core)"
 # One quick-size 150-node, 30-simulated-minute grid run per iteration:
 # ~76 ms mean on this container (~40 k events/s single-worker floor at
@@ -196,30 +171,6 @@ BENCH_OUT=$(cargo bench -p aqua-bench --bench ocean_events)
 echo "$BENCH_OUT"
 check_budget "ocean_events_per_second" 300
 
-echo "==> throughput smoke: repro ocean quick end-to-end under 60 s"
-# All three 10k-scaled-down deployments (grid/swarm/fleet at 150 nodes,
-# 30 simulated minutes): ~0.3 s typical; 60 s budget is container slack.
-START=$(date +%s)
-cargo run -q -p aqua-eval --release --bin repro -- ocean quick >/dev/null
-ELAPSED=$(($(date +%s) - START))
-if [ "$ELAPSED" -gt 60 ]; then
-  echo "throughput-smoke FAIL: repro ocean quick took ${ELAPSED}s (> 60 s)"
-  exit 1
-fi
-echo "throughput-smoke ok: repro ocean quick in ${ELAPSED}s (budget 60 s)"
-
-echo "==> throughput smoke: repro relay quick end-to-end under 60 s"
-# The 60-node 3-simulated-hour churn sweep (6 runs, direct + dtn at
-# three intensities): ~1 s typical; 60 s budget is container slack.
-START=$(date +%s)
-cargo run -q -p aqua-eval --release --bin repro -- relay quick >/dev/null
-ELAPSED=$(($(date +%s) - START))
-if [ "$ELAPSED" -gt 60 ]; then
-  echo "throughput-smoke FAIL: repro relay quick took ${ELAPSED}s (> 60 s)"
-  exit 1
-fi
-echo "throughput-smoke ok: repro relay quick in ${ELAPSED}s (budget 60 s)"
-
 echo "==> perf smoke: journal_replay (PR 10 reboot recovery hot path)"
 # Parse + replay a ~1k-record custody journal: ~0.14 ms on this
 # container. Reboot storms replay thousands of logs per chaos run, so
@@ -229,27 +180,26 @@ BENCH_OUT=$(cargo bench -p aqua-bench --bench journal_replay)
 echo "$BENCH_OUT"
 check_budget "journal_replay_1k_records" 5
 
-echo "==> throughput smoke: repro recovery quick end-to-end under 60 s"
-# The 36-node 3-simulated-hour crash sweep (6 audited runs, volatile +
-# durable at three intensities): ~1 s typical; 60 s budget is container
-# slack.
-START=$(date +%s)
-cargo run -q -p aqua-eval --release --bin repro -- recovery quick >/dev/null
-ELAPSED=$(($(date +%s) - START))
-if [ "$ELAPSED" -gt 60 ]; then
-  echo "throughput-smoke FAIL: repro recovery quick took ${ELAPSED}s (> 60 s)"
-  exit 1
-fi
-echo "throughput-smoke ok: repro recovery quick in ${ELAPSED}s (budget 60 s)"
-
-echo "==> throughput smoke: repro fig9 quick end-to-end under 60 s"
-START=$(date +%s)
-cargo run -q -p aqua-eval --release --bin repro -- fig9 quick >/dev/null
-ELAPSED=$(($(date +%s) - START))
-if [ "$ELAPSED" -gt 60 ]; then
-  echo "throughput-smoke FAIL: repro fig9 quick took ${ELAPSED}s (> 60 s)"
-  exit 1
-fi
-echo "throughput-smoke ok: repro fig9 quick in ${ELAPSED}s (budget 60 s)"
+echo "==> throughput smoke: repro <exp> quick end-to-end under 60 s each"
+# Typical quick-size times: transfer ~2 s (480 B x 4 ranges x 2 FEC
+# modes), faults ~3 s (480 B x 4 levels x 2 engines; the storm row
+# suspends and probes through a 30 s blackout), ocean ~0.3 s (grid/swarm/
+# fleet at 150 nodes, 30 simulated minutes), relay ~1 s (60-node 3 h
+# churn sweep), recovery ~1 s (36-node 3 h crash sweep), fig9 ~8 s. The
+# 60 s budget is container slack.
+repro_smoke() {
+  local exp="$1" start elapsed
+  start=$(date +%s)
+  cargo run -q -p aqua-eval --release --bin repro -- "$exp" quick >/dev/null
+  elapsed=$(($(date +%s) - start))
+  if [ "$elapsed" -gt 60 ]; then
+    echo "throughput-smoke FAIL: repro $exp quick took ${elapsed}s (> 60 s)"
+    exit 1
+  fi
+  echo "throughput-smoke ok: repro $exp quick in ${elapsed}s (budget 60 s)"
+}
+for exp in transfer faults ocean relay recovery fig9; do
+  repro_smoke "$exp"
+done
 
 echo "CI green."

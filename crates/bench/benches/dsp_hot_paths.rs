@@ -41,7 +41,7 @@ fn fft_960(c: &mut Criterion) {
     // convolution path; next_power_of_two lands on a 32768-point plan).
     let tx: Vec<f64> = (0..24_000).map(|i| (i as f64 * 0.13).sin()).collect();
     let fir: Vec<f64> = (0..2_048)
-        .map(|i| ((i as f64 * 0.71).sin() / (i + 1) as f64))
+        .map(|i| (i as f64 * 0.71).sin() / (i + 1) as f64)
         .collect();
     c.bench_function("fft_convolve_0.5s_render", |b| {
         b.iter(|| black_box(aqua_dsp::fir::fft_convolve(black_box(&tx), black_box(&fir))))

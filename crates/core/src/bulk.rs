@@ -1,10 +1,10 @@
 //! Bulk transfer engine: selective-repeat ARQ over the packet trial stack.
 //!
-//! Chat messages ride stop-and-wait ([`crate::arq`]); a file or image
-//! cannot — one round trip per 16-bit packet would take minutes per
-//! kilobyte. This module drives the [`aqua_proto::transfer`] data plane
-//! (segmentation + Reed–Solomon outer code + reassembly) through full
-//! sample-level packet exchanges:
+//! Chat messages go out single-shot ([`crate::node::Messenger`]); a file
+//! or image needs every byte, and one round trip per 16-bit packet would
+//! take minutes per kilobyte. This module drives the
+//! [`aqua_proto::transfer`] data plane (segmentation + Reed–Solomon outer
+//! code + reassembly) through full sample-level packet exchanges:
 //!
 //! - Alice sends a *window* of fragments back to back, each one a complete
 //!   OFDM packet exchange ([`run_trial`]) carrying `seq | payload | crc16`.
@@ -23,28 +23,29 @@
 //!   the receiver actually needs is retransmitted, and fragments of
 //!   RS-complete generations are never chased at all).
 //!
-//! Two sender engines share that machinery (DESIGN.md §13):
+//! One transfer loop runs that exchange under two sender policies
+//! (DESIGN.md §13):
 //!
-//! - [`run_bulk_transfer`] — the static engine: fixed window, all parity
+//! - [`run_bulk_transfer`] — static: fixed window, all parity
 //!   transmitted eagerly, fixed round budget. Predictable, and the
 //!   baseline the fault experiments compare against.
-//! - [`run_adaptive_transfer`] — the robust engine: a
-//!   [`DegradationLadder`] shrinks the window and releases per-generation
-//!   parity as the measured per-round erasure rate climbs (and recovers
-//!   when it clears); an [`RttEstimator`] paces everything with capped,
-//!   jittered backoff; and **suspend/resume** parks the transfer when the
-//!   link goes fully dead (a blackout), probing at backed-off intervals
+//! - [`run_adaptive_transfer`] — adaptive: a [`DegradationLadder`]
+//!   shrinks the window and releases per-generation parity as the
+//!   measured per-round erasure rate climbs (and recovers when it
+//!   clears); an [`RttEstimator`] paces everything with capped, jittered
+//!   backoff; and **suspend/resume** parks the transfer when the link
+//!   goes fully dead (a blackout), probing at backed-off intervals
 //!   instead of burning the round budget, then resuming the window where
-//!   it left off.
+//!   it left off. A probe is the same exchange with a one-fragment burst.
 //!
 //! Time-varying impairments come from the [`aqua_channel::fault`] layer:
-//! both engines advance a session clock (airtime + suspension waits) and
-//! evaluate the configured [`FaultSchedule`] on it, so a 30 s blackout in
+//! the loop advances a session clock (airtime + suspension waits) and
+//! evaluates the configured [`FaultSchedule`] on it, so a 30 s blackout in
 //! schedule time covers exactly the packets whose exchanges overlap it.
 //!
-//! Airtime accounting matches [`crate::arq`]: every forward attempt pays
-//! header + gap (+ data section when transmitted), every block ACK pays
-//! its tone symbols. Suspension waits accrue separately
+//! Every forward attempt pays header + gap (+ data section when
+//! transmitted, [`attempt_airtime_s`]), every block ACK pays its tone
+//! symbols. Suspension waits accrue separately
 //! ([`BulkOutcome::suspended_s`]) — a parked radio is not airtime.
 
 use crate::arq::{attempt_airtime_s, RttEstimator};
@@ -181,26 +182,6 @@ pub struct BulkOutcome {
     pub goodput_bps: f64,
 }
 
-impl BulkOutcome {
-    fn start() -> Self {
-        Self {
-            delivered: None,
-            reason: BulkReason::RoundBudget,
-            rounds: 0,
-            packets_sent: 0,
-            packets_delivered: 0,
-            erasures: 0,
-            duplicates: 0,
-            acks_lost: 0,
-            suspensions: 0,
-            probes: 0,
-            suspended_s: 0.0,
-            airtime_s: 0.0,
-            goodput_bps: 0.0,
-        }
-    }
-}
-
 /// Block-ACK frame content: done flag, cumulative base, per-seq need
 /// bits. Public so the fuzz suite can drive the tone codec directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,82 +268,20 @@ impl BlockAck {
     }
 }
 
-/// Rejects degenerate engine knobs with a typed error.
-fn validate(cfg: &BulkConfig) -> Result<(), BulkError> {
-    if cfg.window == 0 {
-        return Err(BulkError::ZeroWindow);
-    }
-    if cfg.max_rounds == 0 {
-        return Err(BulkError::ZeroRounds);
-    }
-    Ok(())
-}
-
-/// The receiver's current block ACK.
+/// The receiver's current block ACK. Sums run in `usize` so a complete
+/// transfer of `u16::MAX` fragments (`base = 65535`) cannot overflow.
 fn build_ack(reasm: &Reassembler, window: usize, total_frags: u16) -> BlockAck {
     let needed = reasm.missing();
     let base = needed.first().copied().unwrap_or(total_frags);
     BlockAck {
         done: reasm.complete(),
         base,
-        need: (0..window as u16)
-            .map(|i| needed.binary_search(&(base + i)).is_ok())
+        need: (0..window)
+            .map(|i| {
+                u16::try_from(usize::from(base) + i).is_ok_and(|s| needed.binary_search(&s).is_ok())
+            })
             .collect(),
     }
-}
-
-/// One forward fragment exchange at session time `now_s`: a full packet
-/// trial carrying the fragment, fed to the reassembler. Returns whether
-/// the receiver heard it (fresh or duplicate) and the airtime paid.
-#[allow(clippy::too_many_arguments)]
-fn send_fragment(
-    cfg: &BulkConfig,
-    frag: &Fragment,
-    seed: u64,
-    now_s: f64,
-    force_lose: bool,
-    reasm: &mut Reassembler,
-    out: &mut BulkOutcome,
-) -> (bool, f64) {
-    let mut t = cfg.base.clone();
-    t.payload = frag.to_bits();
-    t.frame.payload_bits = t.payload.len();
-    t.seed = seed;
-    t.faults = cfg.faults.clone();
-    t.start_s = now_s;
-    let trial = run_trial(&t);
-    out.packets_sent += 1;
-    let air = attempt_airtime_s(
-        &t.frame,
-        trial.band.map(|b| b.len()).unwrap_or(1),
-        trial.data_phase,
-    );
-    out.airtime_s += air;
-    let parsed = trial
-        .bits
-        .filter(|_| !force_lose)
-        .and_then(|b| Fragment::from_bits(&b));
-    let heard = match parsed {
-        Some(f) => match reasm.accept(&f) {
-            Accept::Fresh => {
-                out.packets_delivered += 1;
-                true
-            }
-            Accept::Duplicate => {
-                out.duplicates += 1;
-                true
-            }
-            Accept::Invalid => {
-                out.erasures += 1;
-                false
-            }
-        },
-        None => {
-            out.erasures += 1;
-            false
-        }
-    };
-    (heard, air)
 }
 
 /// The block-ACK exchange on the reverse link at session time `now_s`.
@@ -440,26 +359,26 @@ fn apply_ack(pending: &mut Vec<u16>, ack: &BlockAck, total_frags: u16, released:
         i >= ack.need.len() || ack.need[i]
     });
     for (i, &needed) in ack.need.iter().enumerate() {
-        if !needed {
-            continue;
-        }
-        let s = ack.base + i as u16;
-        if s >= total_frags {
+        let s = usize::from(ack.base) + i;
+        if s >= usize::from(total_frags) {
             break;
         }
-        if !released[s as usize] {
-            continue;
+        if needed && released[s] {
+            insert_sorted(pending, s as u16);
         }
-        if let Err(pos) = pending.binary_search(&s) {
-            pending.insert(pos, s);
-        }
+    }
+}
+
+fn insert_sorted(pending: &mut Vec<u16>, seq: u16) {
+    if let Err(pos) = pending.binary_search(&seq) {
+        pending.insert(pos, seq);
     }
 }
 
 /// Runs a bulk transfer of `data` with the static engine and returns the
 /// outcome, or a typed error on degenerate configuration.
 pub fn run_bulk_transfer(cfg: &BulkConfig, data: &[u8]) -> Result<BulkOutcome, BulkError> {
-    run_bulk_transfer_with_faults(cfg, data, |_, _| false)
+    transfer(cfg, data, Engine::Static, |_, _| false)
 }
 
 /// [`run_bulk_transfer`] with a loss hook: `lose(round, seq)` forces that
@@ -472,67 +391,7 @@ pub fn run_bulk_transfer_with_faults(
     data: &[u8],
     lose: impl Fn(usize, u16) -> bool,
 ) -> Result<BulkOutcome, BulkError> {
-    validate(cfg)?;
-    let plan = TransferPlan::try_new(data.len(), cfg.params)?;
-    let frags = plan.segment(data);
-    let total = plan.total_frags() as u16;
-
-    let mut pending: Vec<u16> = (0..total).collect();
-    let all_released = vec![true; total as usize];
-    let mut reasm = Reassembler::new(plan);
-    let mut out = BulkOutcome::start();
-
-    let mut sender_done = false;
-    while out.rounds < cfg.max_rounds && !sender_done && !pending.is_empty() {
-        let round = out.rounds;
-        out.rounds += 1;
-        let burst: Vec<u16> = pending.iter().take(cfg.window).copied().collect();
-
-        // ---- forward burst: one full packet exchange per fragment ----
-        for &seq in &burst {
-            let seed = cfg
-                .base
-                .seed
-                .wrapping_add(0x9E37_79B9 * (1 + round as u64))
-                .wrapping_add(7919 * seq as u64);
-            let now_s = out.airtime_s;
-            send_fragment(
-                cfg,
-                &frags[seq as usize],
-                seed,
-                now_s,
-                lose(round, seq),
-                &mut reasm,
-                &mut out,
-            );
-        }
-
-        // ---- block ACK on the reverse link ----
-        let ack = build_ack(&reasm, cfg.window, total);
-        let (decoded, ack_air) = block_ack_exchange(
-            cfg,
-            &ack,
-            cfg.base.seed ^ 0xB10C ^ ((round as u64) << 17),
-            out.airtime_s,
-        );
-        out.airtime_s += ack_air;
-        match decoded {
-            Some(ack) => {
-                if ack.done {
-                    sender_done = true;
-                }
-                apply_ack(&mut pending, &ack, total, &all_released);
-            }
-            None => out.acks_lost += 1,
-        }
-    }
-
-    out.delivered = reasm.assemble();
-    if let Some(d) = &out.delivered {
-        out.goodput_bps = d.len() as f64 * 8.0 / out.airtime_s;
-        out.reason = BulkReason::Completed;
-    }
-    Ok(out)
+    transfer(cfg, data, Engine::Static, lose)
 }
 
 /// Graceful-degradation ladder: maps the measured per-round erasure rate
@@ -616,215 +475,301 @@ impl DegradationLadder {
 /// See the module docs for the protocol; [`BulkOutcome::reason`] reports
 /// how the run ended.
 pub fn run_adaptive_transfer(cfg: &BulkConfig, data: &[u8]) -> Result<BulkOutcome, BulkError> {
-    validate(cfg)?;
-    let plan = TransferPlan::try_new(data.len(), cfg.params)?;
-    let frags = plan.segment(data);
-    let total = plan.total_frags() as u16;
+    transfer(cfg, data, Engine::Adaptive, |_, _| false)
+}
 
-    // Pending starts as the data fragments only: parity is released by
-    // the ladder (eagerly, under degradation) or by explicit receiver
-    // demand through the ACK need bitmap.
-    let mut pending: Vec<u16> = (0..plan.generations())
-        .flat_map(|g| {
-            let s = plan.gen_start(g);
-            (s..s + plan.gen_data_count(g)).map(|q| q as u16)
-        })
-        .collect();
-    let mut released: Vec<bool> = vec![false; plan.total_frags()];
-    for &s in &pending {
-        released[s as usize] = true;
-    }
-    let mut sent: Vec<u32> = vec![0; plan.total_frags()];
+/// The sender policy driving the one transfer loop.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    /// Fixed window, all parity released up front, one ACK solicitation
+    /// per round. Seeds are keyed on the round number.
+    Static,
+    /// Ladder-driven window and parity release, one ACK re-solicitation,
+    /// suspend/probe on a dead link. Seeds are keyed on a per-exchange
+    /// counter, so they never repeat across rounds, probes, or ladder
+    /// reshuffles.
+    Adaptive,
+}
 
-    let mut reasm = Reassembler::new(plan);
-    let mut ladder = DegradationLadder::new();
-    let mut est = RttEstimator::new(cfg.base.seed ^ 0xADA7, MIN_RTO_S, MAX_RTO_S);
-    let mut out = BulkOutcome::start();
-    let mut now_s = 0.0f64;
-    let mut sender_done = false;
-    let mut dead_rounds = 0usize;
-    let mut blackout_abort = false;
-    // Unique per-exchange counter: fragment and ACK seeds never repeat
-    // across rounds, probes, or ladder reshuffles.
-    let mut exchange = 0u64;
+/// Sender and receiver state of one transfer on a shared session clock.
+struct Session<'a> {
+    cfg: &'a BulkConfig,
+    engine: Engine,
+    plan: TransferPlan,
+    frags: Vec<Fragment>,
+    total: u16,
+    reasm: Reassembler,
+    /// Sequence numbers still to send, ascending.
+    pending: Vec<u16>,
+    /// Sequence numbers the sender has put in play (parity withheld by
+    /// the adaptive ladder stays unreleased until needed).
+    released: Vec<bool>,
+    /// Transmissions per sequence number.
+    sent: Vec<u32>,
+    est: RttEstimator,
+    /// Session time: airtime plus suspension waits. Without suspensions
+    /// this equals `out.airtime_s` to the bit (same sums, same order).
+    now_s: f64,
+    /// Adaptive seed counter, advanced once per fragment or ACK exchange.
+    exchanges: u64,
+    done: bool,
+    out: BulkOutcome,
+}
 
-    while !sender_done && !pending.is_empty() {
-        if out.rounds >= cfg.max_rounds {
-            break;
+impl Session<'_> {
+    /// Seed key of the next exchange: the static engine's round-derived
+    /// key, or the adaptive engine's next counter value.
+    fn key(&mut self, static_key: usize) -> u64 {
+        match self.engine {
+            Engine::Static => static_key as u64,
+            Engine::Adaptive => {
+                self.exchanges += 1;
+                self.exchanges
+            }
         }
-        out.rounds += 1;
+    }
 
-        // ---- parity release: ladder (eager) + receiver demand ----
-        // Eager: under degradation, incomplete generations get parity up
-        // front. Demand-driven: a fragment that has been sent twice and
-        // is still pending keeps dying on this channel — answer with the
-        // generation's full parity (seed/placement diversity) instead of
-        // more identical copies.
-        let eager = ladder.eager_parity(cfg.params.parity);
-        let mut release = vec![0usize; plan.generations()];
-        for &s in pending.iter() {
-            if let Some((g, _)) = plan.locate(s as usize) {
-                let want = if sent[s as usize] >= 2 {
-                    cfg.params.parity
+    /// Puts `seq` in play: released and pending.
+    fn release(&mut self, seq: u16) {
+        if !self.released[seq as usize] {
+            self.released[seq as usize] = true;
+            insert_sorted(&mut self.pending, seq);
+        }
+    }
+
+    /// Adaptive parity release at the start of a round. Eager: under
+    /// degradation, incomplete generations get parity up front.
+    /// Demand-driven: a fragment that has been sent twice and is still
+    /// pending keeps dying on this channel — answer with the generation's
+    /// full parity (seed/placement diversity) instead of more identical
+    /// copies.
+    fn release_parity(&mut self, eager: usize) {
+        let parity = self.cfg.params.parity;
+        let mut release = vec![0usize; self.plan.generations()];
+        for &s in &self.pending {
+            if let Some((g, _)) = self.plan.locate(s as usize) {
+                let want = if self.sent[s as usize] >= 2 {
+                    parity
                 } else {
                     eager
                 };
                 release[g] = release[g].max(want);
             }
         }
-        for (g, &count) in release.iter().enumerate() {
-            let pstart = plan.gen_start(g) + plan.gen_data_count(g);
-            for seq in pstart..pstart + count.min(cfg.params.parity) {
-                if !released[seq] {
-                    released[seq] = true;
-                    let s = seq as u16;
-                    if let Err(pos) = pending.binary_search(&s) {
-                        pending.insert(pos, s);
-                    }
-                }
+        for (g, count) in release.into_iter().enumerate() {
+            let pstart = self.plan.gen_start(g) + self.plan.gen_data_count(g);
+            for seq in pstart..pstart + count.min(parity) {
+                self.release(seq as u16);
             }
         }
+    }
 
-        // ---- forward burst at the ladder's window ----
-        // After a fully dead round, the next round is a 2-fragment
-        // canary: confirming the outage costs 2 packets, not a window.
-        let win = if dead_rounds > 0 {
-            2
-        } else {
-            ladder.window(cfg.window)
-        };
-        let burst: Vec<u16> = pending.iter().take(win).copied().collect();
-        let round_start_s = now_s;
-        let mut heard_count = 0usize;
-        for &seq in &burst {
-            exchange += 1;
-            let seed = cfg
+    /// Sends `burst` back to back (one full packet exchange per fragment,
+    /// fed to the reassembler), then solicits the block ACK up to
+    /// `ack_tries` times. A decoded ACK feeds the estimator the round
+    /// trip and retires what it acknowledges; none backs the estimator
+    /// off. Returns how many fragments the receiver heard (fresh or
+    /// duplicate) and whether an ACK decoded.
+    fn exchange(
+        &mut self,
+        round: usize,
+        burst: &[u16],
+        ack_tries: usize,
+        lose: &impl Fn(usize, u16) -> bool,
+    ) -> (usize, bool) {
+        let cfg = self.cfg;
+        let start_s = self.now_s;
+        let mut heard = 0;
+        for &seq in burst {
+            let key = self.key(1 + round);
+            let mut t = cfg.base.clone();
+            t.payload = self.frags[seq as usize].to_bits();
+            t.frame.payload_bits = t.payload.len();
+            t.seed = cfg
                 .base
                 .seed
-                .wrapping_add(0x9E37_79B9u64.wrapping_mul(exchange))
+                .wrapping_add(0x9E37_79B9u64.wrapping_mul(key))
                 .wrapping_add(7919 * seq as u64);
-            let (heard, air) = send_fragment(
-                cfg,
-                &frags[seq as usize],
-                seed,
-                now_s,
-                false,
-                &mut reasm,
-                &mut out,
+            t.faults = cfg.faults.clone();
+            t.start_s = self.now_s;
+            let trial = run_trial(&t);
+            let air = attempt_airtime_s(
+                &t.frame,
+                trial.band.map(|b| b.len()).unwrap_or(1),
+                trial.data_phase,
             );
-            now_s += air;
-            sent[seq as usize] += 1;
-            if heard {
-                heard_count += 1;
-            }
-        }
-
-        // ---- block ACK, with one re-solicitation on loss ----
-        // A lost ACK wastes the whole round (the window gets resent to a
-        // receiver that already has it); one retry costs two orders of
-        // magnitude less airtime than that.
-        let ack = build_ack(&reasm, cfg.window, total);
-        let mut decoded = None;
-        for _ in 0..2 {
-            exchange += 1;
-            let (d, ack_air) =
-                block_ack_exchange(cfg, &ack, cfg.base.seed ^ 0xB10C ^ (exchange << 17), now_s);
-            out.airtime_s += ack_air;
-            now_s += ack_air;
-            if d.is_some() {
-                decoded = d;
-                break;
-            }
-            out.acks_lost += 1;
-        }
-        let ack_ok = decoded.is_some();
-        match decoded {
-            Some(a) => {
-                est.observe_rtt(now_s - round_start_s);
-                if a.done {
-                    sender_done = true;
+            self.out.packets_sent += 1;
+            self.out.airtime_s += air;
+            self.now_s += air;
+            self.sent[seq as usize] += 1;
+            let parsed = trial
+                .bits
+                .filter(|_| !lose(round, seq))
+                .and_then(|b| Fragment::from_bits(&b));
+            match parsed.map(|f| self.reasm.accept(&f)) {
+                Some(Accept::Fresh) => self.out.packets_delivered += 1,
+                Some(Accept::Duplicate) => self.out.duplicates += 1,
+                Some(Accept::Invalid) | None => {
+                    self.out.erasures += 1;
+                    continue;
                 }
-                apply_ack(&mut pending, &a, total, &released);
             }
-            None => est.observe_loss(),
+            heard += 1;
         }
-        // ---- dead-link detection → suspend/resume ----
+        let ack = build_ack(&self.reasm, cfg.window, self.total);
+        for _ in 0..ack_tries {
+            let key = self.key(round);
+            let (decoded, air) =
+                block_ack_exchange(cfg, &ack, cfg.base.seed ^ 0xB10C ^ (key << 17), self.now_s);
+            self.out.airtime_s += air;
+            self.now_s += air;
+            if let Some(a) = decoded {
+                self.est.observe_rtt(self.now_s - start_s);
+                self.done |= a.done;
+                apply_ack(&mut self.pending, &a, self.total, &self.released);
+                return (heard, true);
+            }
+            self.out.acks_lost += 1;
+        }
+        self.est.observe_loss();
+        (heard, false)
+    }
+
+    /// Parks on a dead link: backed-off, jittered waits (no airtime),
+    /// each followed by a one-fragment probe and a single ACK
+    /// solicitation. Returns whether a probe was answered before the
+    /// probe budget ran out.
+    fn suspend(&mut self, lose: &impl Fn(usize, u16) -> bool) -> bool {
+        self.out.suspensions += 1;
+        while self.out.probes < PROBE_BUDGET {
+            let wait = self.est.next_wait_s();
+            self.now_s += wait;
+            self.out.suspended_s += wait;
+            self.out.probes += 1;
+            if self
+                .exchange(self.out.rounds, &[self.pending[0]], 1, lose)
+                .1
+            {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The one transfer loop behind all three entry points; `engine` picks
+/// the policy (see [`Engine`]).
+fn transfer(
+    cfg: &BulkConfig,
+    data: &[u8],
+    engine: Engine,
+    lose: impl Fn(usize, u16) -> bool,
+) -> Result<BulkOutcome, BulkError> {
+    if cfg.window == 0 {
+        return Err(BulkError::ZeroWindow);
+    }
+    if cfg.max_rounds == 0 {
+        return Err(BulkError::ZeroRounds);
+    }
+    let plan = TransferPlan::try_new(data.len(), cfg.params)?;
+    let total = plan.total_frags() as u16;
+    let mut s = Session {
+        cfg,
+        engine,
+        plan,
+        frags: plan.segment(data),
+        total,
+        reasm: Reassembler::new(plan),
+        pending: Vec::new(),
+        released: vec![false; total as usize],
+        sent: vec![0; total as usize],
+        est: RttEstimator::new(cfg.base.seed ^ 0xADA7, MIN_RTO_S, MAX_RTO_S),
+        now_s: 0.0,
+        exchanges: 0,
+        done: false,
+        out: BulkOutcome {
+            delivered: None,
+            reason: BulkReason::RoundBudget,
+            rounds: 0,
+            packets_sent: 0,
+            packets_delivered: 0,
+            erasures: 0,
+            duplicates: 0,
+            acks_lost: 0,
+            suspensions: 0,
+            probes: 0,
+            suspended_s: 0.0,
+            airtime_s: 0.0,
+            goodput_bps: 0.0,
+        },
+    };
+    // The static engine puts every fragment in play; the adaptive one
+    // starts with the data fragments and releases parity through the
+    // ladder (eagerly, under degradation) or on receiver demand.
+    for g in 0..plan.generations() {
+        let start = plan.gen_start(g);
+        let released = match engine {
+            Engine::Static => plan.gen_frag_count(g),
+            Engine::Adaptive => plan.gen_data_count(g),
+        };
+        for seq in start..start + released {
+            s.release(seq as u16);
+        }
+    }
+
+    let mut ladder = DegradationLadder::new();
+    let mut dead_rounds = 0usize;
+    let mut blackout = false;
+    while !s.done && !s.pending.is_empty() && s.out.rounds < cfg.max_rounds {
+        let round = s.out.rounds;
+        s.out.rounds += 1;
+        let (win, ack_tries) = match engine {
+            Engine::Static => (cfg.window, 1),
+            Engine::Adaptive => {
+                s.release_parity(ladder.eager_parity(cfg.params.parity));
+                // After a fully dead round, the next round is a 2-fragment
+                // canary: confirming the outage costs 2 packets, not a
+                // window. A lost ACK wastes the whole round (the window
+                // gets resent to a receiver that already has it); one
+                // re-solicitation costs two orders of magnitude less.
+                let win = if dead_rounds > 0 {
+                    2
+                } else {
+                    ladder.window(cfg.window)
+                };
+                (win, 2)
+            }
+        };
+        let burst: Vec<u16> = s.pending.iter().take(win).copied().collect();
+        let (heard, ack_ok) = s.exchange(round, &burst, ack_tries, &lose);
+        if engine == Engine::Static {
+            continue;
+        }
         // A fully dead round (nothing heard, no ACK) is an *outage*, not
         // congestion: it feeds the suspension logic, never the ladder —
         // otherwise a blackout would crush the window and the transfer
         // would crawl long after the link came back.
-        if heard_count == 0 && !ack_ok {
+        if heard == 0 && !ack_ok {
             dead_rounds += 1;
         } else {
             dead_rounds = 0;
-            let erasure_rate = 1.0 - heard_count as f64 / burst.len().max(1) as f64;
-            ladder.observe_round(erasure_rate, ack_ok);
+            ladder.observe_round(1.0 - heard as f64 / burst.len().max(1) as f64, ack_ok);
         }
-        if dead_rounds >= SUSPEND_AFTER_DEAD_ROUNDS && !sender_done {
-            out.suspensions += 1;
-            let mut resumed = false;
-            while out.probes < PROBE_BUDGET {
-                // park: no airtime, just a backed-off, jittered wait
-                let wait = est.next_wait_s();
-                now_s += wait;
-                out.suspended_s += wait;
-                out.probes += 1;
-
-                // probe: one fragment plus one block-ACK exchange
-                let probe_start_s = now_s;
-                let seq = pending[0];
-                exchange += 1;
-                let seed = cfg
-                    .base
-                    .seed
-                    .wrapping_add(0x9E37_79B9u64.wrapping_mul(exchange))
-                    .wrapping_add(7919 * seq as u64);
-                let (_, air) = send_fragment(
-                    cfg,
-                    &frags[seq as usize],
-                    seed,
-                    now_s,
-                    false,
-                    &mut reasm,
-                    &mut out,
-                );
-                now_s += air;
-                sent[seq as usize] += 1;
-                exchange += 1;
-                let ack = build_ack(&reasm, cfg.window, total);
-                let (probe_ack, probe_air) =
-                    block_ack_exchange(cfg, &ack, cfg.base.seed ^ 0xB10C ^ (exchange << 17), now_s);
-                out.airtime_s += probe_air;
-                now_s += probe_air;
-                match probe_ack {
-                    Some(a) => {
-                        est.observe_rtt(now_s - probe_start_s);
-                        if a.done {
-                            sender_done = true;
-                        }
-                        apply_ack(&mut pending, &a, total, &released);
-                        resumed = true;
-                        break;
-                    }
-                    None => {
-                        out.acks_lost += 1;
-                        est.observe_loss();
-                    }
-                }
-            }
-            if !resumed {
-                blackout_abort = true;
+        if dead_rounds >= SUSPEND_AFTER_DEAD_ROUNDS && !s.done {
+            if !s.suspend(&lose) {
+                blackout = true;
                 break;
             }
             dead_rounds = 0;
         }
     }
 
-    out.delivered = reasm.assemble();
+    let mut out = s.out;
+    out.delivered = s.reasm.assemble();
     out.reason = if out.delivered.is_some() {
         out.goodput_bps = data.len() as f64 * 8.0 / out.airtime_s;
         BulkReason::Completed
-    } else if blackout_abort {
+    } else if blackout {
         BulkReason::Blackout
     } else {
         BulkReason::RoundBudget
@@ -930,6 +875,34 @@ mod tests {
             forged, 0,
             "{forged} compensating corruptions forged past the CRC"
         );
+    }
+
+    #[test]
+    fn block_ack_of_a_complete_u16_max_transfer_does_not_overflow() {
+        // The largest plan: u16::MAX one-byte fragments. Complete, its
+        // block ACK reports base = 65535, and base + i must not overflow.
+        let params = TransferParams {
+            frag_bytes: 1,
+            gen_data: 255,
+            parity: 0,
+        };
+        let plan = TransferPlan::try_new(usize::from(u16::MAX), params).expect("largest plan");
+        let mut reasm = Reassembler::new(plan);
+        for f in plan.segment(&demo_payload(plan.total_bytes)) {
+            assert_eq!(reasm.accept(&f), Accept::Fresh);
+        }
+        let ack = build_ack(&reasm, 6, u16::MAX);
+        assert!(ack.done);
+        assert_eq!(ack.base, u16::MAX);
+        assert_eq!(ack.need, vec![false; 6]);
+        let mut pending = vec![u16::MAX - 1];
+        apply_ack(
+            &mut pending,
+            &ack,
+            u16::MAX,
+            &vec![true; plan.total_frags()],
+        );
+        assert!(pending.is_empty(), "everything below base retires");
     }
 
     #[test]

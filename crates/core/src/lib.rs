@@ -11,10 +11,12 @@
 //!   [`node::Messenger`] app facade.
 //! - [`receiver`]: the continuously-listening streaming receiver state
 //!   machine (block-based audio in, protocol events out).
-//! - [`arq`]: stop-and-wait retransmission over the single-tone ACK, with
-//!   an alternating-bit sequence for duplicate suppression.
+//! - [`arq`]: retransmission timing over the single-tone ACK — the RTT
+//!   estimator the bulk loop and the relay pace retries with, and the
+//!   airtime of one packet exchange.
 //! - [`bulk`]: selective-repeat bulk transfer (file/image) with the
-//!   Reed–Solomon outer erasure code and tone-symbol block ACKs.
+//!   Reed–Solomon outer erasure code and tone-symbol block ACKs: one
+//!   transfer loop with a static and an adaptive sender policy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +27,6 @@ pub mod node;
 pub mod receiver;
 pub mod trial;
 
-pub use arq::{send_with_arq, ArqOutcome, ArqSession};
 pub use bulk::{run_bulk_transfer, run_bulk_transfer_with_faults, BulkConfig, BulkOutcome};
 pub use node::{AudioBackend, Messenger, SendOutcome, SimAudioBus};
 pub use receiver::{RxEvent, StreamingReceiver};

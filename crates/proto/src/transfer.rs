@@ -145,6 +145,10 @@ pub enum PlanError {
     ZeroGenerationData,
     /// `gen_data + parity` exceeds the GF(256) RS code length.
     GenerationTooLarge,
+    /// More than `u16::MAX` fragments (data + parity): the 16-bit
+    /// sequence number would wrap, and a block ACK's cumulative base
+    /// could not name one past the last fragment.
+    TooManyFragments,
 }
 
 impl std::fmt::Display for PlanError {
@@ -154,6 +158,7 @@ impl std::fmt::Display for PlanError {
             Self::ZeroFragmentSize => write!(f, "fragment size must be positive"),
             Self::ZeroGenerationData => write!(f, "generation needs data fragments"),
             Self::GenerationTooLarge => write!(f, "RS generation exceeds GF(256)"),
+            Self::TooManyFragments => write!(f, "more fragments than 16-bit sequence numbers"),
         }
     }
 }
@@ -175,10 +180,14 @@ impl TransferPlan {
         if params.gen_data + params.parity > 255 {
             return Err(PlanError::GenerationTooLarge);
         }
-        Ok(Self {
+        let plan = Self {
             total_bytes,
             params,
-        })
+        };
+        if plan.total_frags() > usize::from(u16::MAX) {
+            return Err(PlanError::TooManyFragments);
+        }
+        Ok(plan)
     }
 
     /// Builds a plan; panics on degenerate geometry (use
@@ -454,6 +463,22 @@ mod tests {
             ),
             Err(PlanError::GenerationTooLarge)
         );
+        // 70 000 one-byte fragments would wrap the 16-bit sequence number;
+        // u16::MAX of them is the largest plan
+        let one_byte = TransferParams {
+            frag_bytes: 1,
+            gen_data: 255,
+            parity: 0,
+        };
+        assert_eq!(
+            TransferPlan::try_new(70_000, one_byte),
+            Err(PlanError::TooManyFragments)
+        );
+        assert_eq!(
+            TransferPlan::try_new(usize::from(u16::MAX) + 1, one_byte),
+            Err(PlanError::TooManyFragments)
+        );
+        assert!(TransferPlan::try_new(usize::from(u16::MAX), one_byte).is_ok());
         assert!(TransferPlan::try_new(100, p).is_ok());
         assert_eq!(format!("{}", PlanError::EmptyTransfer), "empty transfer");
     }
