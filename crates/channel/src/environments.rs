@@ -210,12 +210,6 @@ impl Environment {
         self.boundaries.water_depth_m = depth_m;
         self
     }
-
-    /// Overrides the noise level by a relative gain in dB.
-    pub fn with_noise_gain_db(mut self, db: f64) -> Self {
-        self.noise = self.noise.clone().with_gain_db(db);
-        self
-    }
 }
 
 #[cfg(test)]

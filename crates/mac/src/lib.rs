@@ -4,19 +4,19 @@
 //!
 //! - [`carrier`]: waveform-level energy detection — 80 ms averages of
 //!   1–4 kHz band power against a noise-calibrated threshold.
-//! - [`netsim`]: slot-level multi-transmitter simulation reproducing the
-//!   Fig. 19 collision experiments (with/without carrier sense, random
-//!   backoff in packet-duration multiples).
+//! - [`netsim`]: multi-transmitter simulation reproducing the Fig. 19
+//!   collision experiments (with/without carrier sense, random backoff in
+//!   packet-duration multiples), run on the event-driven core.
 //! - [`budget`]: link-budget gain matrices derived from the channel model,
-//!   feeding the slot-level simulator.
-//! - [`ocean`]: the event-driven ocean-scale simulator — bit-identical to
-//!   [`netsim`] on small dense configs (the oracle-equivalence contract),
-//!   and the engine behind the 10 000-node `repro ocean` deployments.
+//!   feeding the MAC simulator.
+//! - [`ocean`]: the event-driven ocean-scale simulator — the engine behind
+//!   [`netsim`], bit-identical on small dense configs to a slot-stepped
+//!   test oracle (the oracle-equivalence contract), and behind the
+//!   10 000-node `repro ocean` deployments.
 //!
-//! [`preamble_cs`] implements the preamble-detection-based carrier sense
-//! the paper lists as an improvement in §2.4 (it defers only on actual
-//! modem preambles, not on loud noise events). RTS/CTS-style feedback
-//! preambles remain unimplemented, as in the paper.
+//! Preamble-detection-based carrier sense and RTS/CTS-style feedback
+//! preambles, which the paper lists as improvements in §2.4, remain
+//! unimplemented, as in the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +25,6 @@ pub mod budget;
 pub mod carrier;
 pub mod netsim;
 pub mod ocean;
-pub mod preamble_cs;
 
 pub use carrier::{band_energy, calibrate_threshold, CarrierSense};
 pub use netsim::{collision_stats, simulate, MacConfig, MacResult};
-pub use preamble_cs::PreambleCarrierSense;

@@ -1,4 +1,4 @@
-//! Slot-level network simulation for the MAC experiments (Fig. 19).
+//! MAC network simulation for the collision experiments (Fig. 19).
 //!
 //! The Fig. 19 experiment spans minutes of wall-clock audio (120 packets ×
 //! several transmitters) — too long to render sample-by-sample. Since
@@ -10,13 +10,18 @@
 //! [`crate::carrier::CarrierSense`] is validated against real rendered
 //! audio in its own tests.
 //!
+//! [`simulate`] runs this slot model on the event-driven core of
+//! [`crate::ocean::event`], which touches a node only at the slots where
+//! its state changes. A direct slot-stepped loop over every node and every
+//! slot is kept as the test oracle in `mac/tests/ocean_equivalence.rs`,
+//! and the event core is pinned bit-identical to it there.
+//!
 //! Collisions are accounted exactly as in the paper: two packets whose
 //! start times fall within one packet duration of each other collide; the
 //! collision fraction is the number of packets involved in any collision
 //! divided by the total sent.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::ocean::event::{DenseMedium, EventCore, Medium, SimHooks};
 
 /// MAC simulation parameters.
 #[derive(Debug, Clone)]
@@ -69,117 +74,34 @@ pub struct MacResult {
     pub duration_s: f64,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum NodeState {
-    /// Waiting until this slot index before next action.
-    WaitingUntil(usize),
-    /// In carrier-sense backoff with this many slots remaining.
-    Backoff(usize),
-    /// Transmitting until this slot index.
-    TransmittingUntil(usize),
-    /// Sent all packets.
-    Done,
+/// Hooks that only log each node's packet start times.
+struct TxLog {
+    tx_times: Vec<Vec<f64>>,
 }
 
-/// Runs the slot-level MAC simulation.
+impl SimHooks for TxLog {
+    fn on_transmit(&mut self, node: usize, t_s: f64, _access_delay_s: f64) {
+        self.tx_times[node].push(t_s);
+    }
+}
+
+/// Runs the MAC simulation on the event-driven core.
 ///
 /// `gains[i][j]` is the linear power gain from transmitter `i` to node `j`
 /// (diagonal unused); `noise_floor[j]` is node `j`'s in-band noise power.
+/// Runs stop at a 1 M-slot safety cap (~22 hours simulated).
 pub fn simulate(cfg: &MacConfig, gains: &[Vec<f64>], noise_floor: &[f64], seed: u64) -> MacResult {
-    let n = gains.len();
-    assert!(n >= 1 && noise_floor.len() == n);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let packet_slots = (cfg.packet_duration_s / cfg.slot_s).ceil() as usize;
-    let to_slots = |range: (f64, f64), rng: &mut StdRng| -> usize {
-        let s: f64 = rng.gen_range(range.0..=range.1);
-        (s / cfg.slot_s).ceil() as usize
+    let medium = DenseMedium::new(gains.to_vec(), noise_floor.to_vec());
+    let mut hooks = TxLog {
+        tx_times: vec![Vec::new(); medium.nodes()],
     };
-
-    let mut states: Vec<NodeState> = (0..n)
-        .map(|_| NodeState::WaitingUntil(to_slots(cfg.initial_delay_s, &mut rng)))
-        .collect();
-    let mut sent: Vec<usize> = vec![0; n];
-    let mut tx_times: Vec<Vec<f64>> = vec![Vec::new(); n];
-
-    let mut slot = 0usize;
-    let max_slots = 1_000_000; // safety stop (~22 hours simulated)
-    while states.iter().any(|s| !matches!(s, NodeState::Done)) && slot < max_slots {
-        // Energy each node senses this slot (sum of active others + noise).
-        let active: Vec<bool> = states
-            .iter()
-            .map(|s| matches!(s, NodeState::TransmittingUntil(until) if slot < *until))
-            .collect();
-        let sensed: Vec<f64> = (0..n)
-            .map(|j| {
-                let mut p = noise_floor[j];
-                for i in 0..n {
-                    if i != j && active[i] {
-                        p += gains[i][j];
-                    }
-                }
-                p
-            })
-            .collect();
-
-        for i in 0..n {
-            match states[i] {
-                NodeState::Done => {}
-                NodeState::TransmittingUntil(until) => {
-                    if slot >= until {
-                        states[i] = if sent[i] >= cfg.max_packets {
-                            NodeState::Done
-                        } else {
-                            NodeState::WaitingUntil(
-                                slot + to_slots(cfg.inter_packet_gap_s, &mut rng),
-                            )
-                        };
-                    }
-                }
-                NodeState::WaitingUntil(when) => {
-                    if slot >= when {
-                        let busy = sensed[i] > noise_floor[i] * cfg.threshold_margin;
-                        if cfg.carrier_sense && busy {
-                            let packets: u32 =
-                                rng.gen_range(cfg.cs_backoff_packets.0..=cfg.cs_backoff_packets.1);
-                            states[i] = NodeState::Backoff(packets as usize * packet_slots);
-                        } else {
-                            tx_times[i].push(slot as f64 * cfg.slot_s);
-                            sent[i] += 1;
-                            states[i] = NodeState::TransmittingUntil(slot + packet_slots);
-                        }
-                    }
-                }
-                NodeState::Backoff(remaining) => {
-                    let busy = sensed[i] > noise_floor[i] * cfg.threshold_margin;
-                    // The paper's rule: if energy is detected during the
-                    // backoff, extend it so it cannot elapse mid-packet.
-                    let mut rem = remaining.saturating_sub(1);
-                    if busy && rem < packet_slots {
-                        rem += packet_slots;
-                    }
-                    if rem == 0 {
-                        if busy {
-                            rem = packet_slots; // re-check after one packet
-                        } else {
-                            tx_times[i].push(slot as f64 * cfg.slot_s);
-                            sent[i] += 1;
-                            states[i] = NodeState::TransmittingUntil(slot + packet_slots);
-                            continue;
-                        }
-                    }
-                    states[i] = NodeState::Backoff(rem);
-                }
-            }
-        }
-        slot += 1;
-    }
-
-    let (collision_fraction, per_tx) = collision_stats(&tx_times, cfg.packet_duration_s);
+    let stats = EventCore::new(cfg, &medium, &mut hooks, seed).run(1_000_000);
+    let (collision_fraction, per_tx) = collision_stats(&hooks.tx_times, cfg.packet_duration_s);
     MacResult {
-        tx_times,
+        tx_times: hooks.tx_times,
         collision_fraction,
         per_tx_collision_fraction: per_tx,
-        duration_s: slot as f64 * cfg.slot_s,
+        duration_s: stats.duration_s,
     }
 }
 

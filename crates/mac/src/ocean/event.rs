@@ -1,19 +1,19 @@
-//! Event-driven core of the ocean-scale simulator.
+//! Event-driven MAC core: the engine behind [`crate::netsim::simulate`]
+//! and the ocean-scale simulator.
 //!
-//! [`crate::netsim::simulate`] steps *every node through every 80 ms slot*
-//! and recomputes every node's sensed energy per slot — O(slots × n²),
-//! fine for the paper's 2–3 transmitter dive site, hopeless for a
-//! simulated ocean. This module re-expresses the **same state machine** as
+//! The slot model steps *every node through every 80 ms slot* and
+//! recomputes every node's sensed energy per slot — O(slots × n²) when run
+//! directly, fine for the paper's 2–3 transmitter dive site, hopeless for
+//! a simulated ocean. This module expresses the **same state machine** as
 //! events on a binary heap: a node is only touched at the slots where the
-//! slot-stepped simulator would actually *change its state or draw from
-//! the RNG* (wait expiry, backoff ticks, transmission end), and sensed
-//! energy is answered from per-node transmission-interval histories
-//! instead of a global per-slot scan.
+//! slot-stepped loop would actually *change its state or draw from the
+//! RNG* (wait expiry, backoff ticks, transmission end), and sensed energy
+//! is answered from per-node transmission-interval histories instead of a
+//! global per-slot scan.
 //!
-//! **Oracle equivalence.** On the dense gain-matrix inputs of
-//! [`crate::netsim::simulate`], [`simulate_events`] is **bit-identical** to
-//! the slot-stepped oracle: same `tx_times`, same collision stats, same
-//! `duration_s`. That holds because
+//! **Oracle equivalence.** On dense gain-matrix inputs the core is
+//! **bit-identical** to the slot-stepped loop: same `tx_times`, same
+//! collision stats, same `duration_s`. That holds because
 //!
 //! - the event heap is keyed `(slot, node, kind)`, so decisions are made
 //!   in exactly the oracle's slot-major, node-index-minor order, and the
@@ -26,17 +26,17 @@
 //! - a state set at slot `t` is first acted on at slot `max(when, t+1)`,
 //!   matching the oracle's examine-next-slot behavior.
 //!
-//! The equivalence is pinned by the property suite in
-//! `mac/tests/ocean_equivalence.rs`.
+//! The slot-stepped loop is the test oracle of the property suite in
+//! `mac/tests/ocean_equivalence.rs`, which pins the equivalence.
 //!
 //! On top of the MAC state machine the core supports the ocean extensions
 //! through [`SimHooks`]: per-node destinations, propagation-delay-adjusted
 //! reception windows (scheduled as extra heap events after the packet has
 //! fully arrived), and interference capture for the PHY dispatch layer
-//! ([`crate::ocean::phy`]). In oracle mode the hooks are inert and the
-//! extensions vanish.
+//! ([`crate::ocean::phy`]). With the default hooks the extensions vanish,
+//! which is how [`crate::netsim::simulate`] runs it.
 
-use crate::netsim::{collision_stats, MacConfig, MacResult};
+use crate::netsim::MacConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -47,8 +47,9 @@ pub const SOUND_SPEED: f64 = 1500.0;
 
 /// How a receiver hears the rest of the network.
 ///
-/// The dense oracle mode wraps the full gain matrix; the ocean mode backs
-/// this with spatial-hash neighbor lists and an analytic range-gain fit.
+/// The dense mode of [`crate::netsim::simulate`] wraps the full gain
+/// matrix; the ocean mode backs this with spatial-hash neighbor lists and
+/// an analytic range-gain fit.
 pub trait Medium {
     /// Number of nodes.
     fn nodes(&self) -> usize;
@@ -137,12 +138,12 @@ pub struct Reception {
     pub interferers: Vec<Interferer>,
 }
 
-/// Scenario hooks layered over the MAC state machine. The oracle mode
-/// uses the inert defaults; the ocean mode supplies destinations,
-/// propagation delays and stats sinks.
+/// Scenario hooks layered over the MAC state machine.
+/// [`crate::netsim::simulate`] uses the inert defaults; the ocean mode
+/// supplies destinations, propagation delays and stats sinks.
 pub trait SimHooks {
     /// Destination node for the packet `node` starts transmitting *now*
-    /// (`None`: broadcast-only, no reception tracking — the oracle mode).
+    /// (`None`: broadcast-only, no reception tracking — the netsim mode).
     /// Called exactly once per transmission, immediately after
     /// [`SimHooks::on_transmit`]; the answer is captured into the resolve
     /// event, so a relay layer may choose a different destination per
@@ -320,7 +321,7 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
         }
     }
 
-    /// Runs to completion or to the `max_slots` horizon (the oracle's
+    /// Runs to completion or to the `max_slots` horizon (netsim's 1 M-slot
     /// safety cap; the ocean mode's simulated duration). Reception windows
     /// already in flight at the horizon are still resolved against the
     /// frozen transmission histories.
@@ -569,128 +570,4 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
 fn to_slots(range: (f64, f64), slot_s: f64, rng: &mut StdRng) -> u64 {
     let s: f64 = rng.gen_range(range.0..=range.1);
     (s / slot_s).ceil() as u64
-}
-
-/// Inert hooks for the oracle mode: collect transmission start times only.
-struct OracleHooks {
-    tx_times: Vec<Vec<f64>>,
-}
-
-impl SimHooks for OracleHooks {
-    fn on_transmit(&mut self, node: usize, t_s: f64, _access_delay_s: f64) {
-        self.tx_times[node].push(t_s);
-    }
-}
-
-/// Event-driven drop-in for [`crate::netsim::simulate`]: same inputs, same
-/// outputs, bit for bit — but O(events) instead of O(slots × n²).
-///
-/// The oracle's 1 M-slot safety cap is reproduced so capped runs truncate
-/// identically. Pinned by the `mac/tests/ocean_equivalence.rs` property
-/// suite.
-pub fn simulate_events(
-    cfg: &MacConfig,
-    gains: &[Vec<f64>],
-    noise_floor: &[f64],
-    seed: u64,
-) -> MacResult {
-    let medium = DenseMedium::new(gains.to_vec(), noise_floor.to_vec());
-    let mut hooks = OracleHooks {
-        tx_times: vec![Vec::new(); medium.nodes()],
-    };
-    let stats = EventCore::new(cfg, &medium, &mut hooks, seed).run(1_000_000);
-    let (collision_fraction, per_tx) = collision_stats(&hooks.tx_times, cfg.packet_duration_s);
-    MacResult {
-        tx_times: hooks.tx_times,
-        collision_fraction,
-        per_tx_collision_fraction: per_tx,
-        duration_s: stats.duration_s,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::netsim::simulate;
-
-    fn easy(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
-        (vec![vec![1e-4; n]; n], vec![1e-6; n])
-    }
-
-    fn assert_results_identical(a: &MacResult, b: &MacResult) {
-        assert_eq!(a.tx_times, b.tx_times);
-        assert_eq!(
-            a.collision_fraction.to_bits(),
-            b.collision_fraction.to_bits()
-        );
-        assert_eq!(
-            a.per_tx_collision_fraction.len(),
-            b.per_tx_collision_fraction.len()
-        );
-        for (x, y) in a
-            .per_tx_collision_fraction
-            .iter()
-            .zip(&b.per_tx_collision_fraction)
-        {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
-    }
-
-    #[test]
-    fn matches_oracle_with_carrier_sense() {
-        let (g, nf) = easy(4);
-        let cfg = MacConfig {
-            max_packets: 25,
-            ..MacConfig::default()
-        };
-        for seed in [1, 7, 42] {
-            assert_results_identical(
-                &simulate_events(&cfg, &g, &nf, seed),
-                &simulate(&cfg, &g, &nf, seed),
-            );
-        }
-    }
-
-    #[test]
-    fn matches_oracle_without_carrier_sense() {
-        let (g, nf) = easy(3);
-        let cfg = MacConfig {
-            carrier_sense: false,
-            max_packets: 40,
-            ..MacConfig::default()
-        };
-        assert_results_identical(
-            &simulate_events(&cfg, &g, &nf, 9),
-            &simulate(&cfg, &g, &nf, 9),
-        );
-    }
-
-    #[test]
-    fn matches_oracle_with_hidden_terminal() {
-        let mut gains = vec![vec![1e-4; 3]; 3];
-        gains[0][1] = 1e-9;
-        gains[1][0] = 1e-9;
-        let noise = vec![1e-6; 3];
-        let cfg = MacConfig {
-            max_packets: 30,
-            ..MacConfig::default()
-        };
-        assert_results_identical(
-            &simulate_events(&cfg, &gains, &noise, 5),
-            &simulate(&cfg, &gains, &noise, 5),
-        );
-    }
-
-    #[test]
-    fn single_node_never_backs_off() {
-        let cfg = MacConfig {
-            max_packets: 5,
-            ..MacConfig::default()
-        };
-        let r = simulate_events(&cfg, &[vec![0.0]], &[1e-6], 3);
-        assert_eq!(r.tx_times[0].len(), 5);
-        assert_eq!(r.collision_fraction, 0.0);
-        assert_results_identical(&r, &simulate(&cfg, &[vec![0.0]], &[1e-6], 3));
-    }
 }

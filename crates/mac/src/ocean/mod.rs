@@ -1,16 +1,17 @@
 //! Event-driven ocean-scale network simulation.
 //!
 //! The ROADMAP's north star is a simulated ocean — thousands of
-//! acoustically-messaging nodes over hours of simulated time — which the
-//! slot-stepped [`crate::netsim`] cannot reach (it scans every node every
-//! 80 ms slot and renders every link sample-level). This module family
-//! splits the problem:
+//! acoustically-messaging nodes over hours of simulated time — which a
+//! slot-stepped simulator cannot reach (it scans every node every 80 ms
+//! slot and renders every link sample-level). This module family splits
+//! the problem:
 //!
 //! - [`event`]: the event-driven MAC core — a binary-heap event queue
 //!   keyed `(slot, node)`, per-node transmission histories instead of
 //!   per-slot scans, and reception windows scheduled at
-//!   propagation-delay-adjusted arrival times. On dense small configs it
-//!   is **bit-identical** to `netsim::simulate` (the oracle), pinned by
+//!   propagation-delay-adjusted arrival times. It also runs
+//!   [`crate::netsim::simulate`]; on dense small configs it is
+//!   **bit-identical** to the slot-stepped test oracle in
 //!   `mac/tests/ocean_equivalence.rs`.
 //! - [`topology`]: grid/swarm/fleet deployments, the calibrated
 //!   log-distance range-gain fit, and the spatial-hash [`topology::GeoMedium`]
@@ -39,7 +40,6 @@ pub mod stats;
 pub mod topology;
 
 pub use churn::ChurnConfig;
-pub use event::simulate_events;
 pub use per_table::{Band, PerTable};
 pub use topology::TopologyKind;
 
