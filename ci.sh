@@ -96,8 +96,8 @@ check_floor "trials_per_second" 24.2
 echo "==> ocean simulator: oracle equivalence + parallel determinism suites"
 # The PR 6 contracts, run in release where the proptest case count is
 # cheap: the event-driven core (which also runs netsim::simulate) must be
-# bit-identical to the slot-stepped reference loop kept in
-# ocean_equivalence.rs on random <=6-node topologies, and bit-identical
+# bit-identical to the slot-stepped reference loop that
+# ocean_equivalence.rs includes from tests/support/ on random <=6-node topologies, and bit-identical
 # across 1/2/4-worker pools on real deployments. (Debug `cargo test -q`
 # above runs them too; this names them so a red shows up next to the
 # contract it broke.)

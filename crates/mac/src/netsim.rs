@@ -13,8 +13,9 @@
 //! [`simulate`] runs this slot model on the event-driven core of
 //! [`crate::ocean::event`], which touches a node only at the slots where
 //! its state changes. A direct slot-stepped loop over every node and every
-//! slot is kept as the test oracle in `mac/tests/ocean_equivalence.rs`,
-//! and the event core is pinned bit-identical to it there.
+//! slot is kept as the test oracle in `mac/tests/support/slot_oracle.rs`,
+//! and the event core is pinned bit-identical to it by the `ocean::event`
+//! unit tests and `mac/tests/ocean_equivalence.rs`.
 //!
 //! Collisions are accounted exactly as in the paper: two packets whose
 //! start times fall within one packet duration of each other collide; the

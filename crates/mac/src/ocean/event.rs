@@ -26,8 +26,9 @@
 //! - a state set at slot `t` is first acted on at slot `max(when, t+1)`,
 //!   matching the oracle's examine-next-slot behavior.
 //!
-//! The slot-stepped loop is the test oracle of the property suite in
-//! `mac/tests/ocean_equivalence.rs`, which pins the equivalence.
+//! The slot-stepped loop lives in `mac/tests/support/slot_oracle.rs` as the
+//! test oracle of this module's unit tests and of the property suite in
+//! `mac/tests/ocean_equivalence.rs`, which pin the equivalence.
 //!
 //! On top of the MAC state machine the core supports the ocean extensions
 //! through [`SimHooks`]: per-node destinations, propagation-delay-adjusted
@@ -570,4 +571,95 @@ impl<'a, M: Medium, H: SimHooks> EventCore<'a, M, H> {
 fn to_slots(range: (f64, f64), slot_s: f64, rng: &mut StdRng) -> u64 {
     let s: f64 = rng.gen_range(range.0..=range.1);
     (s / slot_s).ceil() as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::netsim::{collision_stats, simulate, MacConfig, MacResult};
+    use slot_oracle::slot_oracle;
+
+    mod slot_oracle {
+        include!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/support/slot_oracle.rs"
+        ));
+    }
+
+    fn easy(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        (vec![vec![1e-4; n]; n], vec![1e-6; n])
+    }
+
+    fn assert_results_identical(a: &MacResult, b: &MacResult) {
+        assert_eq!(a.tx_times, b.tx_times);
+        assert_eq!(
+            a.collision_fraction.to_bits(),
+            b.collision_fraction.to_bits()
+        );
+        assert_eq!(
+            a.per_tx_collision_fraction.len(),
+            b.per_tx_collision_fraction.len()
+        );
+        for (x, y) in a
+            .per_tx_collision_fraction
+            .iter()
+            .zip(&b.per_tx_collision_fraction)
+        {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
+    }
+
+    #[test]
+    fn matches_oracle_with_carrier_sense() {
+        let (g, nf) = easy(4);
+        let cfg = MacConfig {
+            max_packets: 25,
+            ..MacConfig::default()
+        };
+        for seed in [1, 7, 42] {
+            assert_results_identical(
+                &simulate(&cfg, &g, &nf, seed),
+                &slot_oracle(&cfg, &g, &nf, seed),
+            );
+        }
+    }
+
+    #[test]
+    fn matches_oracle_without_carrier_sense() {
+        let (g, nf) = easy(3);
+        let cfg = MacConfig {
+            carrier_sense: false,
+            max_packets: 40,
+            ..MacConfig::default()
+        };
+        assert_results_identical(&simulate(&cfg, &g, &nf, 9), &slot_oracle(&cfg, &g, &nf, 9));
+    }
+
+    #[test]
+    fn matches_oracle_with_hidden_terminal() {
+        let mut gains = vec![vec![1e-4; 3]; 3];
+        gains[0][1] = 1e-9;
+        gains[1][0] = 1e-9;
+        let noise = vec![1e-6; 3];
+        let cfg = MacConfig {
+            max_packets: 30,
+            ..MacConfig::default()
+        };
+        assert_results_identical(
+            &simulate(&cfg, &gains, &noise, 5),
+            &slot_oracle(&cfg, &gains, &noise, 5),
+        );
+    }
+
+    #[test]
+    fn single_node_never_backs_off() {
+        let cfg = MacConfig {
+            max_packets: 5,
+            ..MacConfig::default()
+        };
+        let r = simulate(&cfg, &[vec![0.0]], &[1e-6], 3);
+        assert_eq!(r.tx_times[0].len(), 5);
+        assert_eq!(r.collision_fraction, 0.0);
+        assert_results_identical(&r, &slot_oracle(&cfg, &[vec![0.0]], &[1e-6], 3));
+    }
 }

@@ -12,7 +12,7 @@
 //!   propagation-delay-adjusted arrival times. It also runs
 //!   [`crate::netsim::simulate`]; on dense small configs it is
 //!   **bit-identical** to the slot-stepped test oracle in
-//!   `mac/tests/ocean_equivalence.rs`.
+//!   `mac/tests/support/slot_oracle.rs`.
 //! - [`topology`]: grid/swarm/fleet deployments, the calibrated
 //!   log-distance range-gain fit, and the spatial-hash [`topology::GeoMedium`]
 //!   with O(n·k) neighbor lists.
