@@ -14,8 +14,9 @@
 //! | full     | 10 000 | 24 h      |
 //!
 //! The second table reports the bounded-memory witnesses (peak event-heap
-//! and collision-window lengths, sample-level probe renders) and event
-//! throughput — the numbers EXPERIMENTS.md records and `ci.sh` budgets.
+//! and collision-window lengths, the distinct sample-level probe buckets
+//! each run resolved) and event throughput — the numbers EXPERIMENTS.md
+//! records and `ci.sh` budgets.
 
 use crate::runner::RunSize;
 use crate::table::{pct, Table};

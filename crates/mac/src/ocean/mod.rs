@@ -24,13 +24,14 @@
 //!   accounting.
 //!
 //! [`run_ocean`] assembles them: the MAC state machine advances serially
-//! (its decisions are causally ordered through the shared channel), while
-//! completed reception windows — the expensive, independent part — are
-//! batched and fanned out across an [`aqua_par::Pool`] with the same
-//! parallel ≡ serial bit-identical contract as the experiment engine
-//! (`mac/tests/ocean_determinism.rs`). The `repro ocean` experiment in
-//! `aqua-eval` drives 10 000-node, 24 h simulated deployments through
-//! this entry point. See DESIGN.md §11.
+//! (its decisions are causally ordered through the shared channel), and
+//! completed reception windows are batched and resolved in item order by
+//! [`phy::PhyResolver::resolve_batch`], which fans only the sample-level
+//! probe renders the process has not yet paid for across an
+//! [`aqua_par::Pool`] — with the same parallel ≡ serial bit-identical
+//! contract as the experiment engine (`mac/tests/ocean_determinism.rs`).
+//! The `repro ocean` experiment in `aqua-eval` drives 10 000-node, 24 h
+//! simulated deployments through this entry point. See DESIGN.md §11.
 
 pub mod churn;
 pub mod event;
@@ -67,7 +68,7 @@ pub struct OceanConfig {
     pub band: Band,
     /// Master seed: topology, MAC RNG and per-reception PHY draws.
     pub seed: u64,
-    /// Receptions buffered before a parallel resolution flush.
+    /// Receptions buffered before a resolution flush.
     pub batch: usize,
     /// Node churn model: hard failures and duty-cycle sleep
     /// ([`ChurnConfig::none`] for an always-on fleet).
@@ -139,16 +140,19 @@ pub struct OceanResult {
     pub peak_heap: usize,
     /// Peak collision-window length (memory-bound witness).
     pub peak_collision_window: usize,
-    /// Sample-level probe renders paid over the whole run.
+    /// Distinct probe range buckets this run resolved through the
+    /// sample-level overlap path. Renders are memoized process-wide and
+    /// paid once per process, so this is the run's render demand, the
+    /// same whatever ran before it in the process.
     pub probe_renders: usize,
     /// Mean audible-neighbor count of the topology.
     pub mean_degree: f64,
 }
 
 /// Scenario hooks wiring the event core to topology, PHY and streaming
-/// stats. Receptions are buffered and resolved in parallel batches; the
-/// fold back into the stats runs in item order, so results are identical
-/// for every pool size.
+/// stats. Receptions are buffered and resolved in batches (cold probe
+/// renders fanned across the pool, receptions in item order), so results
+/// are identical for every pool size.
 struct OceanHooks<'a> {
     topo: &'a OceanTopology,
     medium: &'a GeoMedium,
@@ -177,9 +181,7 @@ impl<'a> OceanHooks<'a> {
             return;
         }
         let pending = std::mem::take(&mut self.pending);
-        let phy = self.phy;
-        let outcomes = self.pool.par_map_slice(&pending, |rx| phy.resolve(rx));
-        for out in outcomes {
+        for out in self.phy.resolve_batch(self.pool, &pending) {
             self.receptions += 1;
             if out.dest_busy {
                 self.dest_busy_losses += 1;

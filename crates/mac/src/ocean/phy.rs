@@ -12,39 +12,50 @@
 //! experiment, riding the PR 4 bit-exact geometry-keyed FIR memo), the
 //! SINR over the overlap is formed, and the equivalent interference-free
 //! range at that SINR indexes the same PER table. Probe renders are
-//! memoized per 0.5 m range bucket in [`ProbeCache`], so a 10 000-node
-//! run performs a few hundred sample-level renders, not millions.
+//! memoized per 0.5 m range bucket in one process-wide memo behind
+//! [`ProbeCache`], so a process pays a few hundred sample-level renders
+//! in all, however many runs it makes, not millions.
 //!
 //! Every outcome is a pure function of `(reception, seed)`: the Bernoulli
 //! draw comes from a per-reception `StdRng` keyed by
-//! `(seed, tx, dest, start time)`, never from a shared stream — which is
-//! what lets the ocean simulator fan reception batches across
-//! [`aqua_par::Pool`] workers with bit-identical results in any order
-//! (`mac/tests/ocean_determinism.rs`).
+//! `(seed, tx, dest, start time)`, never from a shared stream, and each
+//! probe power is a pure function of its bucket.
+//! [`PhyResolver::resolve_batch`] therefore fans only the cold probe
+//! renders across [`aqua_par::Pool`] workers and resolves the receptions
+//! themselves serially, with results bit-identical for every pool size
+//! (`mac/tests/ocean_determinism.rs`). Resolving a reception from the
+//! warm memo costs microseconds; a batch fan-out of those would cost
+//! more in thread start-up than it saves.
 
 use aqua_channel::environments::{Environment, Site};
 use aqua_channel::geometry::Pos;
 use aqua_channel::link::{Link, LinkConfig};
+use aqua_par::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Mutex;
 
 use super::event::Reception;
 use super::per_table::{Band, PerTable};
 use super::topology::{RangeGain, TX_POWER};
 
+/// Process-wide memo of rendered Lake probe powers, keyed by range
+/// bucket. A probe power is a pure function of its bucket (fixed probe
+/// seed, fixed geometry, one environment), so every run in the process
+/// shares one render per bucket and no run can tell who paid for it.
+static LAKE_PROBES: Mutex<BTreeMap<u32, f64>> = Mutex::new(BTreeMap::new());
+
 /// Probe-power cache: mean-square received power of the standard wideband
-/// probe, rendered sample-level through the real channel at quantized
-/// ranges.
+/// probe, rendered sample-level through the real Lake channel (the
+/// calibration environment of the PER knots) at quantized ranges.
 ///
-/// Renders are lazy and memoized per 0.5 m bucket behind a mutex; the
-/// cached value is a pure function of the bucket (fixed probe seed, fixed
-/// geometry), so concurrent fills from pool workers cannot perturb
-/// results — only who pays the render.
+/// Renders are memoized per 0.5 m bucket in a process-wide memo and
+/// paid once per process; the cache itself only records which buckets
+/// its run resolved, so [`ProbeCache::rendered_buckets`] reads the same
+/// whatever ran before in the process.
 pub struct ProbeCache {
-    env: Environment,
-    cells: Mutex<HashMap<u32, f64>>,
+    touched: Mutex<HashSet<u32>>,
 }
 
 /// Range quantization of the probe cache (meters per bucket).
@@ -52,56 +63,92 @@ pub const PROBE_BUCKET_M: f64 = 0.5;
 const PROBE_SEED: u64 = 0x0CEA_0CEA;
 const PROBE_SAMPLES: usize = 4800; // 0.1 s at 48 kHz
 
+fn bucket(range_m: f64) -> u32 {
+    (range_m.max(1.0) / PROBE_BUCKET_M).round() as u32
+}
+
+/// Renders the probe at bucket `b` sample-level through the Lake
+/// channel at 2 m depth and returns its mean-square received power.
+fn render_probe(b: u32) -> f64 {
+    let r = b as f64 * PROBE_BUCKET_M;
+    let mut cfg = LinkConfig::s9_pair(
+        Environment::preset(Site::Lake),
+        Pos::new(0.0, 0.0, 2.0),
+        Pos::new(r, 0.0, 2.0),
+        PROBE_SEED,
+    );
+    cfg.noise = false;
+    cfg.impulses = false;
+    let mut link = Link::new(cfg);
+    let mut rng = StdRng::seed_from_u64(PROBE_SEED ^ b as u64);
+    // Uniform white probe scaled to the standard TX_POWER band power
+    // (rms² = 0.04): uniform on [-1, 1] has power 1/3.
+    let scale = (TX_POWER * 3.0).sqrt();
+    let probe: Vec<f64> = (0..PROBE_SAMPLES)
+        .map(|_| rng.gen_range(-1.0..=1.0) * scale)
+        .collect();
+    let rx = link.transmit(&probe, 0.0);
+    rx.iter().map(|&x| x * x).sum::<f64>() / rx.len().max(1) as f64
+}
+
+fn memo_get(b: u32) -> Option<f64> {
+    LAKE_PROBES
+        .lock()
+        .expect("probe memo poisoned")
+        .get(&b)
+        .copied()
+}
+
+/// Renders every bucket of `ranges_m` that the process memo lacks,
+/// fanned across `pool` and outside the memo lock. Marks nothing as
+/// resolved by a run: that is [`ProbeCache::power`]'s job.
+fn warm(pool: &Pool, ranges_m: impl Iterator<Item = f64>) {
+    let mut cold: Vec<u32> = {
+        let memo = LAKE_PROBES.lock().expect("probe memo poisoned");
+        ranges_m
+            .map(bucket)
+            .filter(|b| !memo.contains_key(b))
+            .collect()
+    };
+    if cold.is_empty() {
+        return;
+    }
+    cold.sort_unstable();
+    cold.dedup();
+    let powers = pool.par_map_slice(&cold, |&b| render_probe(b));
+    let mut memo = LAKE_PROBES.lock().expect("probe memo poisoned");
+    memo.extend(cold.into_iter().zip(powers));
+}
+
 impl ProbeCache {
-    /// A cache rendering probes in the given environment at 2 m depth.
-    pub fn new(env: Environment) -> Self {
+    /// A Lake probe cache for one run, with no buckets resolved yet.
+    pub fn lake() -> Self {
         Self {
-            env,
-            cells: Mutex::new(HashMap::new()),
+            touched: Mutex::new(HashSet::new()),
         }
     }
 
-    /// The lake cache (the calibration environment of the PER knots).
-    pub fn lake() -> Self {
-        Self::new(Environment::preset(Site::Lake))
-    }
-
-    fn bucket(range_m: f64) -> u32 {
-        (range_m.max(1.0) / PROBE_BUCKET_M).round() as u32
-    }
-
     /// Rendered received power (mean square) at `range_m`, quantized to
-    /// the cache bucket.
+    /// the cache bucket. A bucket missing from the process memo is
+    /// rendered here, outside the memo lock.
     pub fn power(&self, range_m: f64) -> f64 {
-        let b = Self::bucket(range_m);
-        let mut cells = self.cells.lock().expect("probe cache poisoned");
-        *cells.entry(b).or_insert_with(|| {
-            let r = b as f64 * PROBE_BUCKET_M;
-            let mut cfg = LinkConfig::s9_pair(
-                self.env.clone(),
-                Pos::new(0.0, 0.0, 2.0),
-                Pos::new(r, 0.0, 2.0),
-                PROBE_SEED,
-            );
-            cfg.noise = false;
-            cfg.impulses = false;
-            let mut link = Link::new(cfg);
-            let mut rng = StdRng::seed_from_u64(PROBE_SEED ^ b as u64);
-            // Uniform white probe scaled to the standard TX_POWER band
-            // power (rms² = 0.04): uniform on [-1, 1] has power 1/3.
-            let scale = (TX_POWER * 3.0).sqrt();
-            let probe: Vec<f64> = (0..PROBE_SAMPLES)
-                .map(|_| rng.gen_range(-1.0..=1.0) * scale)
-                .collect();
-            let rx = link.transmit(&probe, 0.0);
-            rx.iter().map(|&x| x * x).sum::<f64>() / rx.len().max(1) as f64
+        let b = bucket(range_m);
+        self.touched.lock().expect("probe cache poisoned").insert(b);
+        memo_get(b).unwrap_or_else(|| {
+            let p = render_probe(b);
+            LAKE_PROBES
+                .lock()
+                .expect("probe memo poisoned")
+                .insert(b, p);
+            p
         })
     }
 
-    /// Number of distinct range buckets rendered so far (the count of
-    /// sample-level link renders the whole run paid).
+    /// Number of distinct range buckets this run resolved. Renders are
+    /// paid once per process, so this counts the buckets the run needed,
+    /// not the renders it paid for.
     pub fn rendered_buckets(&self) -> usize {
-        self.cells.lock().expect("probe cache poisoned").len()
+        self.touched.lock().expect("probe cache poisoned").len()
     }
 }
 
@@ -123,8 +170,8 @@ pub struct RxOutcome {
     pub latency_s: f64,
 }
 
-/// The dispatcher: owns the PER table, the probe cache and the RNG
-/// keying. Shared immutably across pool workers.
+/// The dispatcher: owns the PER table, the run's probe cache and the RNG
+/// keying.
 pub struct PhyResolver {
     table: PerTable,
     band: Band,
@@ -148,16 +195,37 @@ impl PhyResolver {
         }
     }
 
-    /// Sample-level renders performed so far.
+    /// Distinct probe range buckets this resolver's receptions needed
+    /// ([`ProbeCache::rendered_buckets`]).
     pub fn rendered_buckets(&self) -> usize {
         self.probe.rendered_buckets()
+    }
+
+    /// Resolves a batch of receptions in item order. Probe buckets the
+    /// batch's overlap receptions need and the process memo lacks are
+    /// rendered first, fanned across `pool`; the receptions themselves
+    /// then resolve serially. Equal to `rxs.iter().map(|rx|
+    /// self.resolve(rx))` bit for bit, for every pool size.
+    pub fn resolve_batch(&self, pool: &Pool, rxs: &[Reception]) -> Vec<RxOutcome> {
+        // The ranges `resolve` renders: signal and interferers of every
+        // reception that takes the slow path.
+        let ranges = rxs
+            .iter()
+            .filter(|rx| !rx.dest_busy && !rx.interferers.is_empty())
+            .flat_map(|rx| {
+                let itf = rx.interferers.iter();
+                let itf = itf.map(|itf| self.rg.range_for_sensed(itf.power));
+                std::iter::once(signal_range(rx)).chain(itf)
+            });
+        warm(pool, ranges);
+        rxs.iter().map(|rx| self.resolve(rx)).collect()
     }
 
     /// Resolves one reception. Pure in `(rx, self.seed)` up to the
     /// memoized probe renders (whose values are themselves pure).
     pub fn resolve(&self, rx: &Reception) -> RxOutcome {
         let prop = rx.arrival_s - rx.start_s;
-        let range = (prop * super::event::SOUND_SPEED).max(1.0);
+        let range = signal_range(rx);
         let latency_s = rx.access_delay_s + prop + self.packet_duration_s;
         let base = RxOutcome {
             tx: rx.tx,
@@ -208,6 +276,12 @@ impl PhyResolver {
             ..base
         }
     }
+}
+
+/// Transmitter-to-destination range implied by the propagation delay
+/// (clamped to ≥ 1 m).
+fn signal_range(rx: &Reception) -> f64 {
+    ((rx.arrival_s - rx.start_s) * super::event::SOUND_SPEED).max(1.0)
 }
 
 /// SplitMix64-style mixing of the reception identity into an RNG seed:
@@ -318,5 +392,52 @@ mod tests {
         let again = probe.power(5.1);
         assert_eq!(again.to_bits(), probe.power(5.0).to_bits());
         assert_eq!(probe.rendered_buckets(), 2);
+    }
+
+    #[test]
+    fn cold_fan_out_fills_the_memo_with_serial_renders() {
+        // Past the hearing radius: no simulated link and no other test
+        // reaches these buckets, so the process memo starts cold here.
+        let rg = RangeGain::lake();
+        let ranges = [150.0, 151.5, 153.0, 154.5, 156.0, 157.5];
+        assert!(ranges[0] > rg.hearing_radius());
+        let buckets: Vec<u32> = ranges.iter().map(|&r| bucket(r)).collect();
+        assert!(buckets.iter().all(|&b| memo_get(b).is_none()), "warm memo");
+        // Each reception is overlapped by the transmitter of the next
+        // range, so the batch needs every bucket.
+        let rxs: Vec<Reception> = ranges
+            .iter()
+            .enumerate()
+            .map(|(k, &r)| {
+                let start_s = 10.0 + k as f64;
+                Reception {
+                    tx: k as u32,
+                    dest: 99,
+                    start_s,
+                    arrival_s: start_s + r / super::super::event::SOUND_SPEED,
+                    access_delay_s: 0.16,
+                    dest_busy: false,
+                    interferers: vec![Interferer {
+                        node: 98,
+                        power: rg.sensed(ranges[(k + 1) % ranges.len()]),
+                        overlap_s: 0.3,
+                    }],
+                }
+            })
+            .collect();
+        let phy = PhyResolver::new(Band::Adaptive, rg, 0.55, 9);
+        let batch = phy.resolve_batch(&Pool::new(4).with_chunk(1), &rxs);
+        for &b in &buckets {
+            let warm = memo_get(b).expect("fan-out rendered the bucket");
+            assert_eq!(warm.to_bits(), render_probe(b).to_bits(), "bucket {b}");
+        }
+        assert_eq!(phy.rendered_buckets(), buckets.len());
+        let serial = PhyResolver::new(Band::Adaptive, rg, 0.55, 9);
+        for (out, rx) in batch.iter().zip(&rxs) {
+            let want = serial.resolve(rx);
+            assert!(out.overlap);
+            assert_eq!(out.delivered, want.delivered);
+            assert_eq!(out.latency_s.to_bits(), want.latency_s.to_bits());
+        }
     }
 }

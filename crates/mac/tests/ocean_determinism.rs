@@ -189,6 +189,23 @@ mod pinned_baselines {
     }
 
     #[test]
+    fn swarm_result_is_independent_of_process_history() {
+        // Probe renders are memoized process-wide, so a later run finds
+        // buckets warmed by earlier ones. That may change who pays for a
+        // render, never a result or the run's own bucket count.
+        let first = run_ocean(&swarm_cfg(), &Pool::new(1));
+        let mut other = OceanConfig::deployment(TopologyKind::Fleet, 64, 900.0, 29);
+        other.mac.inter_packet_gap_s = (20.0, 60.0);
+        other.batch = 8;
+        let other = run_ocean(&other, &Pool::new(2));
+        assert!(other.overlap_receptions > 0, "other run renders: {other:?}");
+        let again = run_ocean(&swarm_cfg(), &Pool::new(2));
+        assert_result_identical(&again, &first, 2);
+        assert_eq!(first.probe_renders, 104);
+        assert_eq!(again.probe_renders, 104);
+    }
+
+    #[test]
     fn plain_grid_matches_pre_relay_capture() {
         let cfg = OceanConfig::deployment(TopologyKind::Grid, 49, 600.0, 5);
         let r = run_ocean(&cfg, &Pool::new(1));

@@ -8,12 +8,14 @@
 //! the frame is re-parsed from its own wire bits (the per-hop round-trip
 //! the bundle CRCs exist for) and fed to the receiving relay.
 //!
-//! **Determinism contract.** Pending receptions are flushed through the
-//! worker pool *before every transmission decision* and at the batch
-//! threshold — both are pool-size-independent points — and
-//! [`aqua_par::Pool::par_map_slice`] preserves item order, so a
-//! relay-enabled run is bit-identical across 1/2/4-worker pools
-//! (`net/tests/relay_determinism.rs`). The hooks below leave the event
+//! **Determinism contract.** Pending receptions are flushed *before every
+//! transmission decision* and at the batch threshold — both are
+//! pool-size-independent points — through
+//! [`PhyResolver::resolve_batch`], which fans only the probe renders the
+//! process has not yet paid for across the worker pool (each a pure
+//! function of its range bucket) and resolves the receptions serially in
+//! item order, so a relay-enabled run is bit-identical across 1/2/4-worker
+//! pools (`net/tests/relay_determinism.rs`). The hooks below leave the event
 //! core's MAC trajectory and RNG stream untouched relative to the plain
 //! ocean hooks; runs without a relay remain bit-identical to
 //! [`aqua_mac::ocean::run_ocean`] (`mac/tests/ocean_determinism.rs`).
@@ -102,7 +104,7 @@ pub struct RelayOceanConfig {
     pub band: Band,
     /// Master seed (topology, MAC RNG, PHY draws, retry jitter).
     pub seed: u64,
-    /// Receptions buffered before a parallel resolution flush.
+    /// Receptions buffered before a resolution flush.
     pub batch: usize,
     /// Node *sleep* model: downtime with state kept
     /// ([`ChurnConfig::none`] for an always-on fleet).
@@ -190,9 +192,21 @@ pub enum SimConfigError {
         /// Destination of the offending flow.
         dst: u16,
     },
+    /// A node sources more messages than its 16-bit message sequence
+    /// space numbers (65 536): sequence numbers would repeat and two
+    /// messages would share one `(src, seq)` identity.
+    SeqSpace {
+        /// The overloaded source.
+        src: u16,
+        /// Messages the traffic offers at that source.
+        messages: usize,
+    },
     /// The offered traffic has degenerate fragmentation geometry.
     Traffic(PlanError),
 }
+
+/// Messages one source can number: the `u16` sequence space.
+const SEQ_SPACE: usize = u16::MAX as usize + 1;
 
 impl std::fmt::Display for SimConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -209,6 +223,11 @@ impl std::fmt::Display for SimConfigError {
             Self::FlowAddress { src, dst } => {
                 write!(f, "flow ({src} -> {dst}) names a node outside the fleet")
             }
+            Self::SeqSpace { src, messages } => write!(
+                f,
+                "node {src} sources {messages} messages, more than its \
+                 {SEQ_SPACE}-number sequence space"
+            ),
             Self::Traffic(e) => write!(f, "traffic geometry: {e}"),
         }
     }
@@ -335,8 +354,8 @@ impl RelayHooks<'_> {
         }
     }
 
-    /// Resolves buffered receptions in parallel and applies them to the
-    /// relays in item order — called before every transmission decision
+    /// Resolves buffered receptions and applies them to the relays in
+    /// item order — called before every transmission decision
     /// and at the batch threshold, so flush points (and therefore every
     /// relay's input sequence) are identical for every pool size.
     fn flush(&mut self) {
@@ -344,8 +363,7 @@ impl RelayHooks<'_> {
             return;
         }
         let pending = std::mem::take(&mut self.pending);
-        let phy = self.phy;
-        let outcomes = self.pool.par_map_slice(&pending, |rx| phy.resolve(rx));
+        let outcomes = self.phy.resolve_batch(self.pool, &pending);
         for (rx, out) in pending.iter().zip(outcomes) {
             self.receptions += 1;
             let frame = self.in_flight.remove(&(rx.tx, rx.start_s.to_bits()));
@@ -549,10 +567,16 @@ fn run_inner(
             });
         }
     }
+    let mut per_src = vec![0usize; cfg.nodes];
     for &(src, dst) in &cfg.traffic.pairs {
         if src as usize >= cfg.nodes || dst as usize >= cfg.nodes {
             return Err(SimConfigError::FlowAddress { src, dst });
         }
+        let messages = per_src[src as usize].saturating_add(cfg.traffic.messages_per_pair);
+        if messages > SEQ_SPACE {
+            return Err(SimConfigError::SeqSpace { src, messages });
+        }
+        per_src[src as usize] = messages;
     }
     let rg = RangeGain::lake();
     let positions = match &cfg.topology {
@@ -621,8 +645,10 @@ fn run_inner(
     };
     for &(src, dst) in &cfg.traffic.pairs {
         for m in 0..cfg.traffic.messages_per_pair {
+            // The check above caps every source at SEQ_SPACE messages, so
+            // the counter wraps at most once, after the last number.
             let seq = next_seq[src as usize];
-            next_seq[src as usize] += 1;
+            next_seq[src as usize] = seq.wrapping_add(1);
             let payload = message_payload(cfg.seed, src, dst, m, cfg.traffic.payload_bytes);
             let bundles = fragment_message(
                 src,
@@ -817,6 +843,33 @@ mod tests {
         assert!(
             r.relay.custody_transfers >= 2,
             "both fragments acked: {r:?}"
+        );
+    }
+
+    #[test]
+    fn sources_past_the_sequence_space_are_refused() {
+        let mut cfg =
+            RelayOceanConfig::deployment(RelayTopology::Explicit(line(3, 30.0)), 3, 60.0, 1);
+        // Node 0's two flows together need two numbers more than its
+        // sequence space holds; node 2's single flow fits.
+        cfg.traffic.pairs = vec![(0, 1), (2, 1), (0, 2)];
+        cfg.traffic.messages_per_pair = SEQ_SPACE / 2 + 1;
+        assert_eq!(
+            try_run_relay_ocean(&cfg, &Pool::new(1)),
+            Err(SimConfigError::SeqSpace {
+                src: 0,
+                messages: SEQ_SPACE + 2
+            })
+        );
+        // A single flow past the space is refused just the same.
+        cfg.traffic.pairs = vec![(1, 2)];
+        cfg.traffic.messages_per_pair = SEQ_SPACE + 1;
+        assert_eq!(
+            try_run_relay_ocean(&cfg, &Pool::new(1)),
+            Err(SimConfigError::SeqSpace {
+                src: 1,
+                messages: SEQ_SPACE + 1
+            })
         );
     }
 
